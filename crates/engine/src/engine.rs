@@ -1,12 +1,27 @@
 //! The common contract of every simulation engine tier.
 //!
-//! Four fast tiers grew next to the generic [`Simulator`]
-//! — packed, turbo, sharded, and the count-based dense engine in
-//! `pp-dense` — each with its own ad-hoc driver API. Every workload that
-//! wanted to ride a faster tier (the bench experiments, the adversary
-//! suite) had to duplicate its driver loop per engine. [`Engine`] is the
-//! one contract they all implement, so a workload written once runs on
-//! whichever tier is fastest for it.
+//! Six tiers simulate the same process: the reference
+//! [`Simulator`](crate::Simulator) (`agent`), its bit-exact packed twin
+//! [`PackedSimulator`](crate::PackedSimulator), the counter-based
+//! [`TurboSimulator`](crate::TurboSimulator), the graph-partitioned
+//! [`ShardedSimulator`](crate::ShardedSimulator), the lane-parallel
+//! [`VecSimulator`](crate::VecSimulator), and the
+//! count-based dense engine in `pp-dense`. [`Engine`] is the one driver
+//! contract they all implement, so a workload written once (the bench
+//! experiments, the adversary suite, `pp-serve`) runs on whichever tier
+//! is fastest for it.
+//!
+//! # One impl for the per-agent tiers
+//!
+//! The five per-agent tiers differ only in how they store and step their
+//! population. Each implements a crate-private, sealed word-access trait
+//! — its snapshot tag, read and write of one packed word of the observed
+//! replica, bulk replace with topology resize, `run`, and its `aux`
+//! encode and validate/restore — and one blanket impl derives the whole
+//! [`Engine`] surface from it: class counts, decoded states, structural
+//! mutation, the snapshot header and the shared restore checks. The
+//! dense engine has no per-agent words; `pp-dense` keeps its own adapter
+//! impl.
 //!
 //! # Observation currency: class counts
 //!
@@ -40,10 +55,11 @@
 //! # Equivalence tiers
 //!
 //! The trait unifies the *API*, not the guarantee. `Simulator` and
-//! `PackedSimulator` are bit-exact twins under a shared seed; the turbo,
-//! sharded, and dense tiers promise the same process distribution,
-//! verified by the `pp-stats` statistical-equivalence harness. See
-//! EXPERIMENTS.md ("The Engine trait") for the full contract table.
+//! `PackedSimulator` are bit-exact twins under a shared seed, as are a
+//! one-lane `VecSimulator` and `TurboSimulator`; the turbo, sharded, vec,
+//! and dense tiers promise the same process distribution, verified by
+//! the `pp-stats` statistical-equivalence harness. See EXPERIMENTS.md
+//! ("The Engine trait") for the full contract table.
 //!
 //! # Examples
 //!
@@ -94,11 +110,9 @@
 //! }
 //! ```
 
+use crate::packed::MAX_PACKED_OBSERVATIONS;
 use crate::snapshot::{EngineSnapshot, SnapshotError};
-use crate::{
-    PackedProtocol, PackedSimulator, Protocol, ShardedSimulator, Simulator, TurboSimulator,
-    TurboWord, VecSimulator,
-};
+use crate::PackedProtocol;
 use pp_graph::Topology;
 
 /// The driver contract shared by every engine tier.
@@ -308,129 +322,36 @@ pub(crate) fn resize_topology<T: Topology>(topology: &T, new_len: usize) -> T {
     })
 }
 
-impl<P, T> Engine for Simulator<P, T>
-where
-    P: Protocol + PackedProtocol<State = <P as Protocol>::State>,
-    <P as Protocol>::State: Send + Sync,
-    T: Topology,
-{
-    type State = <P as Protocol>::State;
+/// The population-size preconditions every per-agent tier shares, at
+/// construction and on every resize: at least 2 agents, and node ids
+/// that fit the `u32` index buffers of the batch kernels.
+pub(crate) fn check_agents(tier: &str, n: usize) {
+    assert!(n >= 2, "population needs at least 2 agents");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "the {tier} tier stores node ids as u32; {n} agents is too many"
+    );
+}
 
-    fn len(&self) -> usize {
-        self.population().len()
-    }
-
-    fn step_count(&self) -> u64 {
-        Simulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        Simulator::seed(self)
-    }
-
-    fn run(&mut self, steps: u64) {
-        Simulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        let protocol = self.protocol();
-        tally_packed(
-            self.population()
-                .states()
-                .iter()
-                .map(|s| PackedProtocol::pack(protocol, s)),
-        )
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, s) in self.population().iter() {
-            f(u, s);
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        self.population().state(u).clone()
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        self.population_mut().set_state(u, state.clone());
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        if states.len() != self.population().len() {
-            let topology = resize_topology(self.topology(), states.len());
-            self.replace_population(states.to_vec(), topology);
-        } else {
-            for (u, s) in states.iter().enumerate() {
-                self.population_mut().set_state(u, s.clone());
-            }
-        }
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let topology = resize_topology(self.topology(), self.population().len() + 1);
-        self.population_mut().push(state.clone());
-        self.set_topology(topology);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        assert!(
-            self.population().len() > 2,
-            "removal would leave fewer than 2 agents"
-        );
-        let topology = resize_topology(self.topology(), self.population().len() - 1);
-        self.population_mut().swap_remove(u);
-        self.set_topology(topology);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "agent".into(),
-            protocol: PackedProtocol::name(self.protocol()),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: Simulator::step_count(self),
-            seed: Simulator::seed(self),
-            states: self
-                .population()
-                .states()
-                .iter()
-                .map(|s| PackedProtocol::pack(self.protocol(), s))
-                .collect(),
-            aux: self.rng_state().to_vec(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "agent",
-            &PackedProtocol::name(self.protocol()),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        let rng_state = sequential_rng_state(snapshot)?;
-        check_states_arity(snapshot, snapshot.n)?;
-        for (u, &p) in snapshot.states.iter().enumerate() {
-            let s = PackedProtocol::unpack(self.protocol(), p);
-            self.population_mut().set_state(u, s);
-        }
-        self.restore_raw(snapshot.clock, snapshot.seed, rng_state);
-        Ok(())
-    }
+/// The construction preconditions of the packed-word tiers: one state
+/// per topology node, [`check_agents`], and an observation arity in
+/// `1..=`[`MAX_PACKED_OBSERVATIONS`].
+pub(crate) fn check_construction<P: PackedProtocol>(tier: &str, n: usize, topology_len: usize) {
+    assert_eq!(
+        n, topology_len,
+        "population size {n} != topology size {topology_len}"
+    );
+    check_agents(tier, n);
+    assert!(
+        (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
+        "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
+        P::OBSERVATIONS
+    );
 }
 
 /// Validates the shared sequential-tier aux layout: exactly the four
 /// xoshiro256++ state words, not all zero.
-fn sequential_rng_state(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
+pub(crate) fn sequential_rng_state(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
     let aux: [u64; 4] = snapshot.aux.as_slice().try_into().map_err(|_| {
         SnapshotError::BadPayload(format!(
             "sequential tier aux must be the 4 generator words, got {}",
@@ -457,275 +378,166 @@ fn check_states_arity(snapshot: &EngineSnapshot, expected: u64) -> Result<(), Sn
 }
 
 /// Validates that every packed state word fits the tier's storage width.
-fn check_states_width<W: TurboWord>(snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-    if let Some(&p) = snapshot.states.iter().find(|&&p| p > W::CAPACITY) {
+fn check_states_width(snapshot: &EngineSnapshot, capacity: u32) -> Result<(), SnapshotError> {
+    if let Some(&p) = snapshot.states.iter().find(|&&p| p > capacity) {
         return Err(SnapshotError::BadPayload(format!(
-            "state word {p} overflows the tier's storage capacity {}",
-            W::CAPACITY
+            "state word {p} overflows the tier's storage capacity {capacity}"
         )));
     }
     Ok(())
 }
 
-impl<P, T> Engine for PackedSimulator<P, T>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-{
-    type State = P::State;
+mod sealed {
+    use crate::snapshot::{EngineSnapshot, SnapshotError};
+    use crate::PackedProtocol;
 
-    fn len(&self) -> usize {
-        PackedSimulator::len(self)
-    }
+    /// What a per-agent tier supplies to the shared [`Engine`](super::Engine)
+    /// impl: access to its population as packed `u32` words, its step
+    /// kernel, and its private resume words. Everything else — tallies,
+    /// decoding, resizing, the snapshot header and the shared restore
+    /// checks — is written once against these.
+    ///
+    /// Sealed: `pub` inside a private module, so no other crate can name
+    /// or implement it.
+    pub trait PackedTier: Send + Sized {
+        /// The protocol under simulation.
+        type Protocol: PackedProtocol<State: Send + Sync>;
+        /// The topology family.
+        type Topology: pp_graph::Topology;
+        /// The tier's private resume words, parsed and validated.
+        type Aux;
 
-    fn step_count(&self) -> u64 {
-        PackedSimulator::step_count(self)
-    }
+        /// The snapshot tier tag (the `EngineKind` name).
+        const TAG: &'static str;
+        /// Largest packed word the tier's storage holds.
+        const WORD_CAPACITY: u32 = u32::MAX;
+        /// Replicas a snapshot carries: its `states` hold `n · REPLICAS`
+        /// words.
+        const REPLICAS: u64 = 1;
 
-    fn seed(&self) -> u64 {
-        PackedSimulator::seed(self)
-    }
+        /// The protocol under simulation.
+        fn protocol(&self) -> &Self::Protocol;
+        /// The interaction topology.
+        fn topology(&self) -> &Self::Topology;
+        /// Number of agents (per replica).
+        fn len(&self) -> usize;
+        /// Number of time-steps executed so far.
+        fn step_count(&self) -> u64;
+        /// The seed the tier was created with.
+        fn seed(&self) -> u64;
+        /// Runs `steps` time-steps.
+        fn run(&mut self, steps: u64);
 
-    fn run(&mut self, steps: u64) {
-        PackedSimulator::run(self, steps);
-    }
+        /// Packed word of agent `u` in the observed replica.
+        fn word(&self, u: usize) -> u32;
+        /// Overwrites agent `u`'s packed word in every replica.
+        fn set_word(&mut self, u: usize, word: u32);
+        /// The observed replica's packed words in agent order.
+        fn words(&self) -> impl Iterator<Item = u32> + '_;
+        /// Replaces every replica's population with `words`, installing
+        /// `resized` (the topology resized to `words.len()`) when the
+        /// length changed. The caller has checked the new length.
+        fn replace_words(&mut self, words: Vec<u32>, resized: Option<Self::Topology>);
 
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_packed().iter().copied())
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, &p) in self.states_packed().iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
+        /// Appends one agent. The default gathers, edits and replaces.
+        fn push_word(&mut self, word: u32) {
+            let mut words: Vec<u32> = self.words().collect();
+            words.push(word);
+            super::replace_resized(self, words);
         }
-    }
 
-    fn state(&self, u: usize) -> Self::State {
-        PackedSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        PackedSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed().to_vec();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed().to_vec();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "packed".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: PackedSimulator::step_count(self),
-            seed: PackedSimulator::seed(self),
-            states: self.states_packed().to_vec(),
-            aux: self.rng_state().to_vec(),
+        /// Removes agent `u`, moving the last agent into its slot. The
+        /// default gathers, edits and replaces.
+        fn swap_remove_word(&mut self, u: usize) {
+            let mut words: Vec<u32> = self.words().collect();
+            assert!(words.len() > 2, "removal would leave fewer than 2 agents");
+            words.swap_remove(u);
+            super::replace_resized(self, words);
         }
-    }
 
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "packed",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        let rng_state = sequential_rng_state(snapshot)?;
-        check_states_arity(snapshot, snapshot.n)?;
-        self.replace_packed_states(snapshot.states.clone());
-        self.restore_raw(snapshot.clock, snapshot.seed, rng_state);
-        Ok(())
+        /// The snapshot's `states`: by default the observed replica.
+        fn snapshot_words(&self) -> Vec<u32> {
+            self.words().collect()
+        }
+
+        /// Encodes the tier's private resume words. Runs first in a save,
+        /// so a tier may advance to its quiescent point here.
+        fn save_aux(&mut self) -> Vec<u64>;
+        /// Parses and validates a snapshot's `aux` (and any other
+        /// tier-specific payload invariant) without touching the tier.
+        fn parse_aux(snapshot: &EngineSnapshot) -> Result<Self::Aux, SnapshotError>;
+        /// Applies a snapshot whose header, `aux`, arity and word width
+        /// have all been validated.
+        fn restore(&mut self, snapshot: &EngineSnapshot, aux: Self::Aux);
     }
 }
 
-impl<P, T, W> Engine for TurboSimulator<P, T, W>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
+pub(crate) use sealed::PackedTier;
 
-    fn len(&self) -> usize {
-        TurboSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        TurboSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        TurboSimulator::seed(self)
-    }
-
-    fn run(&mut self, steps: u64) {
-        TurboSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_words().iter().map(|w| w.widen()))
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, w) in self.states_words().iter().enumerate() {
-            f(u, &self.protocol().unpack(w.widen()));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        TurboSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        TurboSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "turbo".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: TurboSimulator::step_count(self),
-            seed: TurboSimulator::seed(self),
-            states: TurboSimulator::states_packed(self),
-            // The whole stream is keyed by (seed, step): no private words.
-            aux: Vec::new(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "turbo",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        if !snapshot.aux.is_empty() {
-            return Err(SnapshotError::BadPayload(format!(
-                "turbo tier carries no aux words, got {}",
-                snapshot.aux.len()
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n)?;
-        check_states_width::<W>(snapshot)?;
-        self.replace_packed_states(snapshot.states.clone());
-        self.restore_raw(snapshot.clock, snapshot.seed);
-        Ok(())
-    }
+/// Replaces a tier's population, resizing its topology when the length
+/// changes.
+fn replace_resized<X: PackedTier>(tier: &mut X, words: Vec<u32>) {
+    let n = words.len();
+    check_agents(X::TAG, n);
+    let resized = (n != PackedTier::len(tier)).then(|| resize_topology(tier.topology(), n));
+    tier.replace_words(words, resized);
 }
 
-impl<P, T, W> Engine for ShardedSimulator<P, T, W>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
+/// The one [`Engine`] impl of the five per-agent tiers (agent, packed,
+/// turbo, sharded, vec). On the ensemble tier the observed replica is
+/// lane 0 (class counts, per-agent reads), while structural mutations
+/// apply to every lane, keeping the lanes exchangeable replicas of the
+/// same mutated process.
+impl<X: PackedTier> Engine for X {
+    type State = <X::Protocol as PackedProtocol>::State;
 
     fn len(&self) -> usize {
-        ShardedSimulator::len(self)
+        PackedTier::len(self)
     }
 
     fn step_count(&self) -> u64 {
-        ShardedSimulator::step_count(self)
+        PackedTier::step_count(self)
     }
 
     fn seed(&self) -> u64 {
-        ShardedSimulator::seed(self)
+        PackedTier::seed(self)
     }
 
     fn run(&mut self, steps: u64) {
-        ShardedSimulator::run(self, steps);
+        PackedTier::run(self, steps);
     }
 
     fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.states_packed().into_iter())
+        tally_packed(self.words())
     }
 
     fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, p) in self.states_packed().into_iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
+        for (u, w) in self.words().enumerate() {
+            f(u, &self.protocol().unpack(w));
         }
     }
 
     fn state(&self, u: usize) -> Self::State {
-        ShardedSimulator::state(self, u)
+        self.protocol().unpack(self.word(u))
     }
 
     fn set_state(&mut self, u: usize, state: &Self::State) {
-        ShardedSimulator::set_state(self, u, state);
+        let word = self.protocol().pack(state);
+        self.set_word(u, word);
     }
 
     fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
+        let words = states.iter().map(|s| self.protocol().pack(s)).collect();
+        replace_resized(self, words);
     }
 
     fn push_agent(&mut self, state: &Self::State) {
-        let mut packed = self.states_packed();
-        packed.push(self.protocol().pack(state));
-        self.replace_packed_states(packed);
+        let word = self.protocol().pack(state);
+        self.push_word(word);
     }
 
     fn swap_remove_agent(&mut self, u: usize) {
-        let mut packed = self.states_packed();
-        assert!(packed.len() > 2, "removal would leave fewer than 2 agents");
-        packed.swap_remove(u);
-        self.replace_packed_states(packed);
+        self.swap_remove_word(u);
     }
 
     fn topology_name(&self) -> String {
@@ -733,195 +545,34 @@ where
     }
 
     fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
+        self.topology().resized(PackedTier::len(self)).is_some()
     }
 
     fn save_snapshot(&mut self) -> EngineSnapshot {
-        // Drain to the block boundary first: it is the tier's quiescent
-        // point (deferred cross-shard queues empty, per-shard streams
-        // re-keyed fresh per block), so `(states, clock, seed, layout)`
-        // is the complete state there — and only there.
-        let clock = self.drain_to_block_boundary();
+        let aux = self.save_aux();
         EngineSnapshot {
-            engine: "sharded".into(),
+            engine: X::TAG.into(),
             protocol: self.protocol().name(),
             topology: self.topology().name(),
-            n: self.len() as u64,
-            clock,
-            seed: ShardedSimulator::seed(self),
-            states: ShardedSimulator::states_packed(self),
-            // The layout and read mode are part of the trajectory: a
-            // restore on a machine with a different core count must not
-            // re-derive them.
-            aux: vec![
-                self.partition().shards() as u64,
-                self.block(),
-                self.read_mode().aux_word(),
-            ],
+            n: PackedTier::len(self) as u64,
+            clock: PackedTier::step_count(self),
+            seed: PackedTier::seed(self),
+            states: self.snapshot_words(),
+            aux,
         }
     }
 
     fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
         snapshot.check_identity(
-            "sharded",
+            X::TAG,
             &self.protocol().name(),
             &self.topology().name(),
-            self.len() as u64,
+            PackedTier::len(self) as u64,
         )?;
-        let [shards, block, mode_word]: [u64; 3] =
-            snapshot.aux.as_slice().try_into().map_err(|_| {
-                SnapshotError::BadPayload(format!(
-                    "sharded tier aux must be [shards, block, read_mode], got {} words",
-                    snapshot.aux.len()
-                ))
-            })?;
-        if shards == 0 || shards > snapshot.n {
-            return Err(SnapshotError::BadPayload(format!(
-                "shard count {shards} out of range for {} agents",
-                snapshot.n
-            )));
-        }
-        if block == 0 || block > u32::MAX as u64 {
-            return Err(SnapshotError::BadPayload(format!(
-                "block length {block} out of range"
-            )));
-        }
-        let read_mode = crate::sharded::ReadMode::from_aux_word(mode_word).ok_or_else(|| {
-            SnapshotError::BadPayload(format!(
-                "unknown sharded read-mode code {mode_word} (expected 0 = defer, 1 = snapshot)"
-            ))
-        })?;
-        if !snapshot.clock.is_multiple_of(block) {
-            return Err(SnapshotError::BadPayload(format!(
-                "clock {} is not on the {block}-step block grid; sharded \
-                 snapshots are only taken at block boundaries",
-                snapshot.clock
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n)?;
-        check_states_width::<W>(snapshot)?;
-        self.restore_raw(
-            snapshot.states.clone(),
-            snapshot.clock,
-            snapshot.seed,
-            shards as usize,
-            block,
-            read_mode,
-        );
-        Ok(())
-    }
-}
-
-/// The ensemble engine on the Engine surface: **lane 0 is the observed
-/// replica** (class counts, snapshots, per-agent reads), while structural
-/// mutations — set/replace/push/remove — apply to **every lane**, keeping
-/// the lanes exchangeable replicas of the same mutated process. Replicas
-/// re-diverge through their per-lane streams after a bulk rewrite.
-impl<P, T, W, const L: usize> Engine for VecSimulator<P, T, W, L>
-where
-    P: PackedProtocol,
-    P::State: Send + Sync,
-    T: Topology,
-    W: TurboWord,
-{
-    type State = P::State;
-
-    fn len(&self) -> usize {
-        VecSimulator::len(self)
-    }
-
-    fn step_count(&self) -> u64 {
-        VecSimulator::step_count(self)
-    }
-
-    fn seed(&self) -> u64 {
-        self.master_seed()
-    }
-
-    fn run(&mut self, steps: u64) {
-        VecSimulator::run(self, steps);
-    }
-
-    fn class_counts(&self) -> Vec<u64> {
-        tally_packed(self.lane_states_packed(0).into_iter())
-    }
-
-    fn visit_states(&self, f: &mut dyn FnMut(usize, &Self::State)) {
-        for (u, p) in self.lane_states_packed(0).into_iter().enumerate() {
-            f(u, &self.protocol().unpack(p));
-        }
-    }
-
-    fn state(&self, u: usize) -> Self::State {
-        VecSimulator::state(self, u)
-    }
-
-    fn set_state(&mut self, u: usize, state: &Self::State) {
-        VecSimulator::set_state(self, u, state);
-    }
-
-    fn set_states(&mut self, states: &[Self::State]) {
-        let packed: Vec<u32> = states.iter().map(|s| self.protocol().pack(s)).collect();
-        self.replace_packed_states(packed);
-    }
-
-    fn push_agent(&mut self, state: &Self::State) {
-        let packed = self.protocol().pack(state);
-        self.push_packed_agent(packed);
-    }
-
-    fn swap_remove_agent(&mut self, u: usize) {
-        self.swap_remove_packed_agent(u);
-    }
-
-    fn topology_name(&self) -> String {
-        self.topology().name()
-    }
-
-    fn supports_resize(&self) -> bool {
-        self.topology().resized(self.len()).is_some()
-    }
-
-    fn save_snapshot(&mut self) -> EngineSnapshot {
-        EngineSnapshot {
-            engine: "vec".into(),
-            protocol: self.protocol().name(),
-            topology: self.topology().name(),
-            n: self.len() as u64,
-            clock: VecSimulator::step_count(self),
-            seed: self.master_seed(),
-            // All lanes, lane-major: the Engine surface observes lane 0
-            // but the ensemble's state is every replica.
-            states: self.states_words().iter().map(|w| w.widen()).collect(),
-            aux: std::iter::once(L as u64)
-                .chain(self.lane_seeds().iter().copied())
-                .collect(),
-        }
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
-        snapshot.check_identity(
-            "vec",
-            &self.protocol().name(),
-            &self.topology().name(),
-            self.len() as u64,
-        )?;
-        if snapshot.aux.len() != 1 + L || snapshot.aux[0] != L as u64 {
-            return Err(SnapshotError::BadPayload(format!(
-                "vec tier aux must be [L, lane_seeds…] with L = {L}, got {:?}",
-                snapshot.aux.first()
-            )));
-        }
-        check_states_arity(snapshot, snapshot.n * L as u64)?;
-        check_states_width::<W>(snapshot)?;
-        let mut lane_seeds = [0u64; L];
-        lane_seeds.copy_from_slice(&snapshot.aux[1..]);
-        self.restore_raw(
-            snapshot.states.clone(),
-            snapshot.clock,
-            snapshot.seed,
-            lane_seeds,
-        );
+        let aux = X::parse_aux(snapshot)?;
+        check_states_arity(snapshot, snapshot.n * X::REPLICAS)?;
+        check_states_width(snapshot, X::WORD_CAPACITY)?;
+        self.restore(snapshot, aux);
         Ok(())
     }
 }
@@ -929,6 +580,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        PackedSimulator, Protocol, ShardedSimulator, Simulator, TurboSimulator, VecSimulator,
+    };
     use pp_graph::{Complete, Cycle};
     use rand::Rng;
 

@@ -23,8 +23,9 @@
 //! the same seed produce **exactly the same trajectory** — enforced by
 //! equivalence tests in `pp-core`, `pp-baselines`, and `tests/`.
 
+use crate::engine::{check_construction, sequential_rng_state, PackedTier};
 use crate::turbo::TurboWord;
-use crate::Population;
+use crate::{EngineSnapshot, Population, SnapshotError};
 use pp_graph::Topology;
 use rand::rngs::{CounterRng, StdRng, GOLDEN};
 use rand::{RngExt, SeedableRng};
@@ -224,8 +225,9 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
     /// # Panics
     ///
     /// Panics if the number of initial states does not match the topology
-    /// size, the population is smaller than 2, or `P::OBSERVATIONS` is 0 or
-    /// above [`MAX_PACKED_OBSERVATIONS`].
+    /// size, the population is smaller than 2 or exceeds `u32::MAX`
+    /// agents, or `P::OBSERVATIONS` is 0 or above
+    /// [`MAX_PACKED_OBSERVATIONS`].
     pub fn new(protocol: P, topology: T, initial_states: &[P::State], seed: u64) -> Self {
         let packed = initial_states.iter().map(|s| protocol.pack(s)).collect();
         Self::from_packed(protocol, topology, packed, seed)
@@ -237,19 +239,7 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
     ///
     /// Same conditions as [`new`](Self::new).
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_construction::<P>("packed", states.len(), topology.len());
         PackedSimulator {
             protocol,
             topology,
@@ -306,52 +296,6 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         }
     }
 
-    /// Runs until `pred(packed_states, step)` holds, checking every
-    /// `check_every` steps (and once before the first step), for at most
-    /// `max_steps` steps. Returns the step count at which the predicate
-    /// first held, or `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_until(
-        &mut self,
-        max_steps: u64,
-        check_every: u64,
-        mut pred: impl FnMut(&[u32], u64) -> bool,
-    ) -> Option<u64> {
-        assert!(check_every > 0, "check_every must be positive");
-        let deadline = self.step + max_steps;
-        if pred(&self.states, self.step) {
-            return Some(self.step);
-        }
-        while self.step < deadline {
-            let burst = check_every.min(deadline - self.step);
-            self.run(burst);
-            if pred(&self.states, self.step) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
-    /// Runs `steps` time-steps, invoking `observer(step, packed_states)`
-    /// before the first step and after every `every`-th step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_observed(&mut self, steps: u64, every: u64, mut observer: impl FnMut(u64, &[u32])) {
-        assert!(every > 0, "observation interval must be positive");
-        observer(self.step, &self.states);
-        let deadline = self.step + steps;
-        while self.step < deadline {
-            let burst = every.min(deadline - self.step);
-            self.run(burst);
-            observer(self.step, &self.states);
-        }
-    }
-
     /// Number of agents.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -392,25 +336,6 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         Population::new(self.states_unpacked())
     }
 
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        self.protocol.unpack(self.states[u])
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// (churn, shocks) use to apply structural changes between time-steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        self.states[u] = self.protocol.pack(state);
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -421,38 +346,79 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
         &self.topology
     }
 
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, or the length changed and
-    /// the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        if states.len() != self.states.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        self.states = states;
-    }
-
     /// Consumes the simulator, returning the packed state vector.
     pub fn into_packed_states(self) -> Vec<u32> {
         self.states
     }
+}
 
-    /// The sequential generator's full state, for the snapshot surface.
-    pub(crate) fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
+impl<P, T> PackedTier for PackedSimulator<P, T>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+{
+    type Protocol = P;
+    type Topology = T;
+    type Aux = [u64; 4];
+
+    const TAG: &'static str = "packed";
+
+    fn protocol(&self) -> &P {
+        &self.protocol
     }
 
-    /// Rewinds the non-population resume state — clock, seed, generator
-    /// position — to a snapshot's values (see
-    /// [`Simulator::restore_raw`](crate::Simulator)).
-    pub(crate) fn restore_raw(&mut self, step: u64, seed: u64, rng_state: [u64; 4]) {
-        self.step = step;
-        self.seed = seed;
+    fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        PackedSimulator::run(self, steps);
+    }
+
+    fn word(&self, u: usize) -> u32 {
+        self.states[u]
+    }
+
+    fn set_word(&mut self, u: usize, word: u32) {
+        self.states[u] = word;
+    }
+
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.states.iter().copied()
+    }
+
+    fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
+        self.states = words;
+        if let Some(topology) = resized {
+            self.topology = topology;
+        }
+    }
+
+    fn save_aux(&mut self) -> Vec<u64> {
+        self.rng.state().to_vec()
+    }
+
+    fn parse_aux(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
+        sequential_rng_state(snapshot)
+    }
+
+    fn restore(&mut self, snapshot: &EngineSnapshot, rng_state: [u64; 4]) {
+        self.states = snapshot.states.clone();
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
         self.rng = StdRng::from_state(rng_state);
     }
 }
@@ -460,7 +426,7 @@ impl<P: PackedProtocol, T: Topology> PackedSimulator<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Protocol, Simulator};
+    use crate::{Engine, Protocol, Simulator};
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -578,14 +544,12 @@ mod tests {
     fn run_until_and_observed_mirror_reference() {
         let init: Vec<u32> = (0..16).collect();
         let mut sim = PackedSimulator::new(Copy1, Complete::new(16), &init, 3);
-        let hit = sim.run_until(200_000, 16, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(200_000, 16, &mut |counts, _| counts.contains(&16));
         assert!(hit.is_some(), "voter consensus not reached");
 
         let mut sim = PackedSimulator::new(Copy1, Complete::new(16), &init, 3);
         let mut seen = Vec::new();
-        sim.run_observed(10, 4, |t, _| seen.push(t));
+        sim.run_observed(10, 4, &mut |t, _| seen.push(t));
         assert_eq!(seen, vec![0, 4, 8, 10]);
     }
 

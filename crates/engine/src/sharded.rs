@@ -84,9 +84,10 @@
 //! moves), and the boundary work (the merge, or the next block's
 //! snapshot gather) runs on the calling thread while workers wait.
 
+use crate::engine::{check_construction, PackedTier};
 use crate::packed::MAX_PACKED_OBSERVATIONS;
 use crate::pool;
-use crate::{PackedProtocol, Population, TurboWord};
+use crate::{EngineSnapshot, PackedProtocol, Population, SnapshotError, TurboWord};
 use pp_graph::{Partition, PartitionKind, Topology};
 use rand::rngs::{CounterRng, GOLDEN};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -297,22 +298,7 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     /// or any packed state overflows the storage word `W`.
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
         let n = states.len();
-        assert_eq!(
-            n,
-            topology.len(),
-            "population size {n} != topology size {}",
-            topology.len()
-        );
-        assert!(n >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "sharded queues store node ids as u32; {n} agents is too many"
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_construction::<P>("sharded", n, topology.len());
         let kind = topology.preferred_partition();
         let partition = Partition::new(n, auto_shards(n), kind);
         let mut sim = ShardedSimulator {
@@ -652,56 +638,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         });
     }
 
-    /// Runs until `pred(packed_states, step)` holds, checking every
-    /// `check_every` steps (and once before the first step), for at most
-    /// `max_steps` steps. Returns the step count at which the predicate
-    /// first held, or `None` on timeout.
-    ///
-    /// The observed states are gathered in global agent order; boundary
-    /// interactions of a `Defer`-mode block still in flight are pending
-    /// until the block completes (module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_until(
-        &mut self,
-        max_steps: u64,
-        check_every: u64,
-        mut pred: impl FnMut(&[u32], u64) -> bool,
-    ) -> Option<u64> {
-        assert!(check_every > 0, "check_every must be positive");
-        let deadline = self.step + max_steps;
-        if pred(&self.states_packed(), self.step) {
-            return Some(self.step);
-        }
-        while self.step < deadline {
-            let burst = check_every.min(deadline - self.step);
-            self.run(burst);
-            if pred(&self.states_packed(), self.step) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
-    /// Runs `steps` time-steps, invoking `observer(step, packed_states)`
-    /// before the first step and after every `every`-th step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_observed(&mut self, steps: u64, every: u64, mut observer: impl FnMut(u64, &[u32])) {
-        assert!(every > 0, "observation interval must be positive");
-        observer(self.step, &self.states_packed());
-        let deadline = self.step + steps;
-        while self.step < deadline {
-            let burst = every.min(deadline - self.step);
-            self.run(burst);
-            observer(self.step, &self.states_packed());
-        }
-    }
-
     /// Number of agents.
     pub fn len(&self) -> usize {
         self.partition.len()
@@ -765,62 +701,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
         Population::new(self.states_unpacked())
     }
 
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        let w = self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)];
-        self.protocol.unpack(w.widen())
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// use to apply structural changes between time-steps. Mid-block in
-    /// `Snapshot` mode the live block snapshot is patched too, so remote
-    /// readers of the rest of the block see the adversary's write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        let w = W::narrow(self.protocol.pack(state));
-        self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)] = w;
-        if let Some(snap) = self.block_snap.as_mut() {
-            Arc::make_mut(snap)[u] = w.widen();
-        }
-    }
-
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) and rebuilding the shard partition when the
-    /// length changes — the bulk-rewrite path of the
-    /// [`Engine`](crate::Engine) structural-mutation surface. `O(n)`:
-    /// structural changes gather, rewrite, and re-scatter the shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        let n = states.len();
-        assert!(n >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "sharded queues store node ids as u32; {n} agents is too many"
-        );
-        if n != self.partition.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, n);
-            self.partition = Partition::new(n, auto_shards(n), self.topology.preferred_partition());
-            self.block = auto_block(n);
-        }
-        // Mid-block in `Snapshot` mode the bulk rewrite replaces the live
-        // block snapshot wholesale (same visibility rule as `set_state`).
-        let snap = (self.block_snap.is_some() && n == self.partition.len())
-            .then(|| Arc::new(states.clone()));
-        self.scatter(states);
-        self.block_snap = snap;
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -830,47 +710,147 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> ShardedSimulator<P, T, W> {
     pub fn topology(&self) -> &T {
         &self.topology
     }
+}
 
-    /// Runs forward to the next block boundary (a no-op when already on
-    /// one) and returns the boundary clock. Between boundaries shards
-    /// hold deferred cross-shard interactions (or a live block snapshot)
-    /// that only reaching the boundary resolves; the boundary is
-    /// therefore the tier's quiescent point — the only clock at which
-    /// `(states, step, seed, layout, read mode)` is the *complete*
-    /// simulation state (the split counts re-derive from the block index
-    /// alone). The snapshot surface drains through this before capturing.
-    pub(crate) fn drain_to_block_boundary(&mut self) -> u64 {
-        let into_block = self.step % self.block;
-        if into_block != 0 {
-            self.run(self.block - into_block);
-        }
-        debug_assert!(self.shards.iter().all(|s| s.queue.is_empty()));
-        debug_assert!(self.block_snap.is_none());
+impl<P, T, W> PackedTier for ShardedSimulator<P, T, W>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type Protocol = P;
+    type Topology = T;
+    /// `(shards, block, read mode)`: the layout is part of the trajectory.
+    type Aux = (usize, u64, ReadMode);
+
+    const TAG: &'static str = "sharded";
+    const WORD_CAPACITY: u32 = W::CAPACITY;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    fn len(&self) -> usize {
+        self.partition.len()
+    }
+
+    fn step_count(&self) -> u64 {
         self.step
     }
 
-    /// Rebuilds the full resume state from a snapshot: partition layout
-    /// (shard count, block length, and read mode are part of the
-    /// trajectory), packed states, clock, and seed. The caller has
-    /// validated that `step` is a block multiple and every state word
-    /// fits `W`. Nothing of the count-split stream needs restoring: at a
-    /// boundary the next block's counts derive from `(seed, block
-    /// index)` alone.
-    pub(crate) fn restore_raw(
-        &mut self,
-        states: Vec<u32>,
-        step: u64,
-        seed: u64,
-        shards: usize,
-        block: u64,
-        read_mode: ReadMode,
-    ) {
-        self.partition = Partition::new(states.len(), shards, self.topology.preferred_partition());
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        ShardedSimulator::run(self, steps);
+    }
+
+    fn word(&self, u: usize) -> u32 {
+        self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)].widen()
+    }
+
+    /// Mid-block in `Snapshot` mode the live block snapshot is patched
+    /// too, so remote readers of the rest of the block see the write.
+    fn set_word(&mut self, u: usize, word: u32) {
+        let w = W::narrow(word);
+        self.shards[self.partition.shard_of(u)].states[self.partition.local_index(u)] = w;
+        if let Some(snap) = self.block_snap.as_mut() {
+            Arc::make_mut(snap)[u] = word;
+        }
+    }
+
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.states_packed().into_iter()
+    }
+
+    /// `O(n)`: re-scatters the shards, and on a length change rebuilds
+    /// the partition and block length too.
+    fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
+        let same_len = resized.is_none();
+        if let Some(topology) = resized {
+            let n = words.len();
+            self.partition = Partition::new(n, auto_shards(n), topology.preferred_partition());
+            self.block = auto_block(n);
+            self.topology = topology;
+        }
+        // Mid-block in `Snapshot` mode the bulk rewrite replaces the live
+        // block snapshot wholesale (same visibility rule as `set_word`).
+        let snap = (self.block_snap.is_some() && same_len).then(|| Arc::new(words.clone()));
+        self.scatter(words);
+        self.block_snap = snap;
+    }
+
+    /// Drains to the next block boundary first: it is the tier's
+    /// quiescent point (deferred cross-shard queues empty, per-shard
+    /// streams re-keyed fresh per block), so `(states, clock, seed,
+    /// layout)` is the complete state there — and only there. The
+    /// layout and read mode ride in `aux`: a restore on a machine with a
+    /// different core count must not re-derive them.
+    fn save_aux(&mut self) -> Vec<u64> {
+        let into_block = self.step % self.block;
+        if into_block != 0 {
+            ShardedSimulator::run(self, self.block - into_block);
+        }
+        debug_assert!(self.shards.iter().all(|s| s.queue.is_empty()));
+        debug_assert!(self.block_snap.is_none());
+        vec![
+            self.partition.shards() as u64,
+            self.block,
+            self.read_mode.aux_word(),
+        ]
+    }
+
+    fn parse_aux(snapshot: &EngineSnapshot) -> Result<Self::Aux, SnapshotError> {
+        let [shards, block, mode_word]: [u64; 3] =
+            snapshot.aux.as_slice().try_into().map_err(|_| {
+                SnapshotError::BadPayload(format!(
+                    "sharded tier aux must be [shards, block, read_mode], got {} words",
+                    snapshot.aux.len()
+                ))
+            })?;
+        if shards == 0 || shards > snapshot.n {
+            return Err(SnapshotError::BadPayload(format!(
+                "shard count {shards} out of range for {} agents",
+                snapshot.n
+            )));
+        }
+        if block == 0 || block > u32::MAX as u64 {
+            return Err(SnapshotError::BadPayload(format!(
+                "block length {block} out of range"
+            )));
+        }
+        let read_mode = ReadMode::from_aux_word(mode_word).ok_or_else(|| {
+            SnapshotError::BadPayload(format!(
+                "unknown sharded read-mode code {mode_word} (expected 0 = defer, 1 = snapshot)"
+            ))
+        })?;
+        if !snapshot.clock.is_multiple_of(block) {
+            return Err(SnapshotError::BadPayload(format!(
+                "clock {} is not on the {block}-step block grid; sharded \
+                 snapshots are only taken at block boundaries",
+                snapshot.clock
+            )));
+        }
+        Ok((shards as usize, block, read_mode))
+    }
+
+    /// Rebuilds the partition layout, states, clock, and seed. Nothing of
+    /// the count-split stream needs restoring: at a boundary the next
+    /// block's counts derive from `(seed, block index)` alone.
+    fn restore(&mut self, snapshot: &EngineSnapshot, (shards, block, read_mode): Self::Aux) {
+        let n = snapshot.states.len();
+        self.partition = Partition::new(n, shards, self.topology.preferred_partition());
         self.block = block;
         self.read_mode = read_mode;
-        self.scatter(states);
-        self.step = step;
-        self.seed = seed;
+        self.scatter(snapshot.states.clone());
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
     }
 }
 
@@ -1188,6 +1168,7 @@ fn reconcile<P: PackedProtocol, W: TurboWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -1419,9 +1400,7 @@ mod tests {
             "complete graph should prefer striding"
         );
         assert_eq!(sim.read_mode(), ReadMode::Snapshot);
-        let hit = sim.run_until(2_000_000, 64, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(2_000_000, 64, &mut |counts, _| counts.contains(&32));
         assert!(hit.is_some(), "voter consensus not reached");
     }
 
@@ -1433,9 +1412,7 @@ mod tests {
         let mut sim = ShardedSimulator::<_, _, u32>::new(Copy1, Complete::new(32), &init, 5)
             .with_layout(4, 16)
             .with_read_mode(ReadMode::Defer);
-        let hit = sim.run_until(2_000_000, 64, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(2_000_000, 64, &mut |counts, _| counts.contains(&32));
         assert!(hit.is_some(), "voter consensus not reached via the merge");
     }
 
@@ -1444,7 +1421,7 @@ mod tests {
         let init: Vec<u32> = (0..48).collect();
         let mut sim = ShardedSimulator::<_, _, u32>::new(MaxOfTwo, Torus2d::new(6, 8), &init, 2)
             .with_layout(3, 16);
-        let hit = sim.run_until(1_000_000, 48, |states, _| states.iter().all(|&s| s == 47));
+        let hit = sim.run_until(1_000_000, 48, &mut |counts, _| counts.get(47) == Some(&48));
         assert!(hit.is_some(), "maximum did not flood the torus");
     }
 
@@ -1546,7 +1523,7 @@ mod tests {
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 4);
         let mut seen = Vec::new();
-        sim.run_observed(10, 4, |t, _| seen.push(t));
+        sim.run_observed(10, 4, &mut |t, _| seen.push(t));
         assert_eq!(seen, vec![0, 4, 8, 10]);
         assert_eq!(sim.step_count(), 10);
     }

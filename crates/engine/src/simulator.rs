@@ -1,6 +1,7 @@
 //! The sequential uniform random scheduler.
 
-use crate::{Population, Protocol};
+use crate::engine::{resize_topology, sequential_rng_state, PackedTier};
+use crate::{EngineSnapshot, PackedProtocol, Population, Protocol, SnapshotError};
 use pp_graph::Topology;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -250,43 +251,99 @@ impl<P: Protocol, T: Topology> Simulator<P, T> {
         self.topology = topology;
     }
 
-    /// Replaces population and topology together — the resize path of the
-    /// [`Engine`](crate::Engine) structural-mutation surface (the two must
-    /// change atomically or the size assertions fire).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sizes disagree or fewer than 2 states are given.
-    pub fn replace_population(&mut self, states: Vec<P::State>, topology: T) {
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        self.population = Population::new(states);
-        self.topology = topology;
-    }
-
     /// Consumes the simulator, returning the final population.
     pub fn into_population(self) -> Population<P::State> {
         self.population
     }
+}
 
-    /// The sequential generator's full state, for the snapshot surface.
-    pub(crate) fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
+/// The reference tier on the shared [`Engine`](crate::Engine) surface:
+/// words are the protocol's packing of each decoded state.
+impl<P, T> PackedTier for Simulator<P, T>
+where
+    P: Protocol + PackedProtocol<State = <P as Protocol>::State>,
+    <P as Protocol>::State: Send + Sync,
+    T: Topology,
+{
+    type Protocol = P;
+    type Topology = T;
+    type Aux = [u64; 4];
+
+    const TAG: &'static str = "agent";
+
+    fn protocol(&self) -> &P {
+        &self.protocol
     }
 
-    /// Rewinds (or fast-forwards) the non-population resume state — clock,
-    /// seed, and generator position — to a snapshot's values. The caller
-    /// (the [`Engine`](crate::Engine) restore path) has already validated
-    /// the payload and replaced the population.
-    pub(crate) fn restore_raw(&mut self, step: u64, seed: u64, rng_state: [u64; 4]) {
-        self.step = step;
-        self.seed = seed;
+    fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    fn len(&self) -> usize {
+        self.population.len()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        Simulator::run(self, steps);
+    }
+
+    fn word(&self, u: usize) -> u32 {
+        self.protocol.pack(self.population.state(u))
+    }
+
+    fn set_word(&mut self, u: usize, word: u32) {
+        self.population.set_state(u, self.protocol.unpack(word));
+    }
+
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.population
+            .states()
+            .iter()
+            .map(|s| self.protocol.pack(s))
+    }
+
+    fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
+        let states = words.into_iter().map(|w| self.protocol.unpack(w));
+        self.population = Population::new(states.collect());
+        if let Some(topology) = resized {
+            self.topology = topology;
+        }
+    }
+
+    fn push_word(&mut self, word: u32) {
+        let topology = resize_topology(&self.topology, self.population.len() + 1);
+        self.population.push(self.protocol.unpack(word));
+        self.topology = topology;
+    }
+
+    fn swap_remove_word(&mut self, u: usize) {
+        let n = self.population.len();
+        assert!(n > 2, "removal would leave fewer than 2 agents");
+        let topology = resize_topology(&self.topology, n - 1);
+        self.population.swap_remove(u);
+        self.topology = topology;
+    }
+
+    fn save_aux(&mut self) -> Vec<u64> {
+        self.rng.state().to_vec()
+    }
+
+    fn parse_aux(snapshot: &EngineSnapshot) -> Result<[u64; 4], SnapshotError> {
+        sequential_rng_state(snapshot)
+    }
+
+    fn restore(&mut self, snapshot: &EngineSnapshot, rng_state: [u64; 4]) {
+        self.replace_words(snapshot.states.clone(), None);
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
         self.rng = StdRng::from_state(rng_state);
     }
 }

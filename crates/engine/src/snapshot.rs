@@ -23,7 +23,7 @@
 //! | `agent` | packed words, agent order | xoshiro256++ state `[s0, s1, s2, s3]` |
 //! | `packed` | packed words, agent order | xoshiro256++ state `[s0, s1, s2, s3]` |
 //! | `turbo` | packed words, agent order | empty (stream fully keyed by `(seed, clock)`) |
-//! | `sharded` | packed words, agent order | `[shards, block]` (layout is part of the trajectory) |
+//! | `sharded` | packed words, agent order | `[shards, block, read_mode]` (layout is part of the trajectory) |
 //! | `vec` | lane-major words, `n·L` entries | `[L, lane_seed_0, …, lane_seed_{L−1}]` |
 //! | `dense` | empty | `[classes, count_0, …, count_{classes−1}, s0, s1, s2, s3, epsilon_bits]` |
 //!

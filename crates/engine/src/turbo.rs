@@ -38,8 +38,9 @@
 //! | bit-exact | `Simulator` ↔ `PackedSimulator` | identical trajectory per seed | shared-seed equality tests |
 //! | statistical | `PackedSimulator` ↔ `TurboSimulator`, `DenseSimulator` | identical process distribution | `pp_stats::equivalence` harness |
 
+use crate::engine::{check_construction, PackedTier};
 use crate::packed::MAX_PACKED_OBSERVATIONS;
-use crate::{PackedProtocol, Population};
+use crate::{EngineSnapshot, PackedProtocol, Population, SnapshotError};
 use pp_graph::Topology;
 use rand::rngs::{splitmix64, CounterRng, GOLDEN};
 
@@ -237,32 +238,14 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
     ///
     /// Same conditions as [`new`](Self::new).
     pub fn from_packed(protocol: P, topology: T, states: Vec<u32>, seed: u64) -> Self {
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "turbo batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
+        check_construction::<P>("turbo", states.len(), topology.len());
         TurboSimulator {
             protocol,
             topology,
             states: states.into_iter().map(W::narrow).collect(),
             step: 0,
             seed,
-            // Hashed, so related seeds start unrelated walks.
-            weyl_base: splitmix64(seed ^ 0xA076_1D64_78BD_642F),
+            weyl_base: walk_base(seed),
         }
     }
 
@@ -351,52 +334,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
         self.run_batch(steps);
     }
 
-    /// Runs until `pred(states, step)` holds, checking every `check_every`
-    /// steps (and once before the first step), for at most `max_steps`
-    /// steps. Returns the step count at which the predicate first held, or
-    /// `None` on timeout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_every == 0`.
-    pub fn run_until(
-        &mut self,
-        max_steps: u64,
-        check_every: u64,
-        mut pred: impl FnMut(&[W], u64) -> bool,
-    ) -> Option<u64> {
-        assert!(check_every > 0, "check_every must be positive");
-        let deadline = self.step + max_steps;
-        if pred(&self.states, self.step) {
-            return Some(self.step);
-        }
-        while self.step < deadline {
-            let burst = check_every.min(deadline - self.step);
-            self.run(burst);
-            if pred(&self.states, self.step) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
-    /// Runs `steps` time-steps, invoking `observer(step, states)` before
-    /// the first step and after every `every`-th step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn run_observed(&mut self, steps: u64, every: u64, mut observer: impl FnMut(u64, &[W])) {
-        assert!(every > 0, "observation interval must be positive");
-        observer(self.step, &self.states);
-        let deadline = self.step + steps;
-        while self.step < deadline {
-            let burst = every.min(deadline - self.step);
-            self.run(burst);
-            observer(self.step, &self.states);
-        }
-    }
-
     /// Number of agents.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -442,46 +379,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
         Population::new(self.states_unpacked())
     }
 
-    /// Decoded state of agent `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        self.protocol.unpack(self.states[u].widen())
-    }
-
-    /// Overwrites the state of agent `u` — the hook adversarial processes
-    /// use to apply structural changes between time-steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        self.states[u] = W::narrow(self.protocol.pack(state));
-    }
-
-    /// Replaces the whole packed population, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "turbo batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        if states.len() != self.states.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        self.states = states.into_iter().map(W::narrow).collect();
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -491,20 +388,99 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord> TurboSimulator<P, T, W> {
     pub fn topology(&self) -> &T {
         &self.topology
     }
+}
 
-    /// Rewinds the non-population resume state to a snapshot's values:
-    /// the whole stream is keyed by `(seed, step)`, so clock and seed
-    /// (plus the seed-derived walk base) are the entire private state.
-    pub(crate) fn restore_raw(&mut self, step: u64, seed: u64) {
-        self.step = step;
-        self.seed = seed;
-        self.weyl_base = splitmix64(seed ^ 0xA076_1D64_78BD_642F);
+/// Start of the Weyl walk keyed by `seed` — hashed, so related seeds
+/// start unrelated walks. Shared with the vec tier, whose one-lane runs
+/// are bit-exact against turbo.
+pub(crate) fn walk_base(seed: u64) -> u64 {
+    splitmix64(seed ^ 0xA076_1D64_78BD_642F)
+}
+
+impl<P, T, W> PackedTier for TurboSimulator<P, T, W>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type Protocol = P;
+    type Topology = T;
+    type Aux = ();
+
+    const TAG: &'static str = "turbo";
+    const WORD_CAPACITY: u32 = W::CAPACITY;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        TurboSimulator::run(self, steps);
+    }
+
+    fn word(&self, u: usize) -> u32 {
+        self.states[u].widen()
+    }
+
+    fn set_word(&mut self, u: usize, word: u32) {
+        self.states[u] = W::narrow(word);
+    }
+
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.states.iter().map(|w| w.widen())
+    }
+
+    fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
+        self.states = words.into_iter().map(W::narrow).collect();
+        if let Some(topology) = resized {
+            self.topology = topology;
+        }
+    }
+
+    fn save_aux(&mut self) -> Vec<u64> {
+        // The whole stream is keyed by (seed, step): no private words.
+        Vec::new()
+    }
+
+    fn parse_aux(snapshot: &EngineSnapshot) -> Result<(), SnapshotError> {
+        if !snapshot.aux.is_empty() {
+            return Err(SnapshotError::BadPayload(format!(
+                "turbo tier carries no aux words, got {}",
+                snapshot.aux.len()
+            )));
+        }
+        Ok(())
+    }
+
+    fn restore(&mut self, snapshot: &EngineSnapshot, (): ()) {
+        self.replace_words(snapshot.states.clone(), None);
+        self.step = snapshot.clock;
+        self.seed = snapshot.seed;
+        self.weyl_base = walk_base(snapshot.seed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -590,9 +566,7 @@ mod tests {
     fn voter_on_complete_reaches_consensus() {
         let init: Vec<u32> = (0..32).collect();
         let mut sim = TurboSimulator::<_, _, u32>::new(Copy1, Complete::new(32), &init, 5);
-        let hit = sim.run_until(2_000_000, 64, |states, _| {
-            states.iter().all(|&s| s == states[0])
-        });
+        let hit = sim.run_until(2_000_000, 64, &mut |counts, _| counts.contains(&32));
         assert!(hit.is_some(), "voter consensus not reached");
     }
 
@@ -600,7 +574,7 @@ mod tests {
     fn max_of_two_floods_maximum() {
         let init: Vec<u32> = (0..48).collect();
         let mut sim = TurboSimulator::<_, _, u32>::new(MaxOfTwo, Torus2d::new(6, 8), &init, 2);
-        let hit = sim.run_until(1_000_000, 48, |states, _| states.iter().all(|&s| s == 47));
+        let hit = sim.run_until(1_000_000, 48, &mut |counts, _| counts.get(47) == Some(&48));
         assert!(hit.is_some(), "maximum did not flood the torus");
     }
 
@@ -619,7 +593,7 @@ mod tests {
         assert_eq!(PackedProtocol::name(sim.protocol()), "copy");
         assert_eq!(sim.topology().len(), 3);
         let mut seen = Vec::new();
-        sim.run_observed(10, 4, |t, _| seen.push(t));
+        sim.run_observed(10, 4, &mut |t, _| seen.push(t));
         assert_eq!(seen, vec![0, 4, 8, 10]);
         assert_eq!(sim.step_count(), 10);
     }

@@ -45,14 +45,12 @@
 //! battery per lane; EXPERIMENTS.md ("Ensemble tier") states the
 //! contract.
 
+use crate::engine::{check_agents, check_construction, resize_topology, PackedTier};
 use crate::packed::MAX_PACKED_OBSERVATIONS;
-use crate::{PackedProtocol, Population, TurboWord};
+use crate::turbo::walk_base;
+use crate::{EngineSnapshot, PackedProtocol, Population, SnapshotError, TurboWord};
 use pp_graph::Topology;
 use rand::rngs::{splitmix64, CounterRng, GOLDEN};
-
-/// Hash tweak that turns a seed into a Weyl-walk base; must match
-/// `TurboSimulator`'s so one-lane runs are bit-exact against turbo.
-const WALK_TWEAK: u64 = 0xA076_1D64_78BD_642F;
 
 /// The lane-parallel ensemble simulator: `L` replicas of one
 /// `(protocol, topology)` pair stepped in lockstep.
@@ -159,44 +157,16 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
         lane_seeds: [u64; L],
     ) -> Self {
         assert!(L > 0, "vec engine needs at least one lane");
-        assert_eq!(
-            states.len(),
-            topology.len(),
-            "population size {} != topology size {}",
-            states.len(),
-            topology.len()
-        );
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "vec batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        assert!(
-            (1..=MAX_PACKED_OBSERVATIONS).contains(&P::OBSERVATIONS),
-            "packed protocol must observe 1..={MAX_PACKED_OBSERVATIONS} agents, got {}",
-            P::OBSERVATIONS
-        );
-        let mut lane_major = Vec::with_capacity(states.len() * L);
-        for &p in &states {
-            let w = W::narrow(p);
-            for _ in 0..L {
-                lane_major.push(w);
-            }
-        }
-        let mut lane_bases = [0u64; L];
-        for (base, &seed) in lane_bases.iter_mut().zip(&lane_seeds) {
-            *base = splitmix64(seed ^ WALK_TWEAK);
-        }
+        check_construction::<P>("vec", states.len(), topology.len());
         VecSimulator {
             protocol,
             topology,
-            states: lane_major,
+            states: lane_major::<W, L>(states),
             step: 0,
             master_seed,
             lane_seeds,
-            sched_base: splitmix64(master_seed ^ WALK_TWEAK),
-            lane_bases,
+            sched_base: walk_base(master_seed),
+            lane_bases: lane_seeds.map(walk_base),
         }
     }
 
@@ -412,101 +382,6 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
         Population::new(self.lane_states_unpacked(l))
     }
 
-    /// Decoded state of agent `u` in lane 0 — the observed replica of
-    /// the [`Engine`](crate::Engine) surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`.
-    pub fn state(&self, u: usize) -> P::State {
-        assert!(u < self.len(), "agent {u} out of range");
-        self.protocol.unpack(self.states[u * L].widen())
-    }
-
-    /// Overwrites the state of agent `u` in **every lane** — structural
-    /// mutations apply to all replicas, keeping the lanes exchangeable
-    /// replicas of the same (mutated) process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()` or the packed state overflows `W`.
-    pub fn set_state(&mut self, u: usize, state: &P::State) {
-        assert!(u < self.len(), "agent {u} out of range");
-        let w = W::narrow(self.protocol.pack(state));
-        for slot in &mut self.states[u * L..(u + 1) * L] {
-            *slot = w;
-        }
-    }
-
-    /// Replaces the population of **every lane** with the given packed
-    /// configuration, resizing the topology (via
-    /// [`Topology::resized`]) when the length changes — the bulk-rewrite
-    /// path of the [`Engine`](crate::Engine) structural-mutation surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 2 states are given, a state overflows `W`, or
-    /// the length changed and the topology family has no canonical resize.
-    pub fn replace_packed_states(&mut self, states: Vec<u32>) {
-        assert!(states.len() >= 2, "population needs at least 2 agents");
-        assert!(
-            u32::try_from(states.len()).is_ok(),
-            "vec batch buffers store node ids as u32; {} agents is too many",
-            states.len()
-        );
-        if states.len() != self.len() {
-            self.topology = crate::engine::resize_topology(&self.topology, states.len());
-        }
-        let mut lane_major = Vec::with_capacity(states.len() * L);
-        for &p in &states {
-            let w = W::narrow(p);
-            for _ in 0..L {
-                lane_major.push(w);
-            }
-        }
-        self.states = lane_major;
-    }
-
-    /// Appends one agent (same packed state in every lane), resizing the
-    /// topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state overflows `W` or the topology family has no
-    /// canonical resize.
-    pub fn push_packed_agent(&mut self, p: u32) {
-        let n = self.len() + 1;
-        assert!(
-            u32::try_from(n).is_ok(),
-            "vec batch buffers store node ids as u32; {n} agents is too many"
-        );
-        self.topology = crate::engine::resize_topology(&self.topology, n);
-        let w = W::narrow(p);
-        for _ in 0..L {
-            self.states.push(w);
-        }
-    }
-
-    /// Removes agent `u` (from every lane), moving the last agent's row
-    /// into its slot, and resizes the topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= len()`, the removal would leave fewer than 2
-    /// agents, or the topology family has no canonical resize.
-    pub fn swap_remove_packed_agent(&mut self, u: usize) {
-        let n = self.len();
-        assert!(u < n, "agent {u} out of range");
-        assert!(n > 2, "removal would leave fewer than 2 agents");
-        self.topology = crate::engine::resize_topology(&self.topology, n - 1);
-        let last = (n - 1) * L;
-        let row = u * L;
-        for l in 0..L {
-            self.states[row + l] = self.states[last + l];
-        }
-        self.states.truncate(last);
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol
@@ -516,35 +391,136 @@ impl<P: PackedProtocol, T: Topology, W: TurboWord, const L: usize> VecSimulator<
     pub fn topology(&self) -> &T {
         &self.topology
     }
+}
 
-    /// Rebuilds the full resume state from a snapshot: **all** lanes'
-    /// words (lane-major, `n·L` entries — the Engine surface observes
-    /// lane 0 but every lane is part of the ensemble's state), clock,
-    /// and the master/lane seeds with their derived walk bases. The
-    /// caller has validated the arity and that every word fits `W`.
-    pub(crate) fn restore_raw(
-        &mut self,
-        lane_major: Vec<u32>,
-        step: u64,
-        master_seed: u64,
-        lane_seeds: [u64; L],
-    ) {
-        debug_assert_eq!(lane_major.len(), self.states.len());
-        self.states = lane_major.into_iter().map(W::narrow).collect();
-        self.step = step;
-        self.master_seed = master_seed;
-        self.lane_seeds = lane_seeds;
-        self.sched_base = splitmix64(master_seed ^ WALK_TWEAK);
-        for (base, &seed) in self.lane_bases.iter_mut().zip(&lane_seeds) {
-            *base = splitmix64(seed ^ WALK_TWEAK);
+/// Copies one packed configuration into every lane, lane-major.
+fn lane_major<W: TurboWord, const L: usize>(words: Vec<u32>) -> Vec<W> {
+    let mut lanes = Vec::with_capacity(words.len() * L);
+    for p in words {
+        lanes.extend([W::narrow(p); L]);
+    }
+    lanes
+}
+
+/// The ensemble on the shared [`Engine`](crate::Engine) surface: lane 0
+/// is the observed replica, while writes and resizes apply to every lane
+/// and snapshots carry all of them.
+impl<P, T, W, const L: usize> PackedTier for VecSimulator<P, T, W, L>
+where
+    P: PackedProtocol,
+    P::State: Send + Sync,
+    T: Topology,
+    W: TurboWord,
+{
+    type Protocol = P;
+    type Topology = T;
+    type Aux = [u64; L];
+
+    const TAG: &'static str = "vec";
+    const WORD_CAPACITY: u32 = W::CAPACITY;
+    const REPLICAS: u64 = L as u64;
+
+    fn protocol(&self) -> &P {
+        &self.protocol
+    }
+
+    fn topology(&self) -> &T {
+        &self.topology
+    }
+
+    fn len(&self) -> usize {
+        self.states.len() / L
+    }
+
+    fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    fn seed(&self) -> u64 {
+        self.master_seed
+    }
+
+    fn run(&mut self, steps: u64) {
+        VecSimulator::run(self, steps);
+    }
+
+    fn word(&self, u: usize) -> u32 {
+        assert!(u < self.len(), "agent {u} out of range");
+        self.states[u * L].widen()
+    }
+
+    fn set_word(&mut self, u: usize, word: u32) {
+        assert!(u < self.len(), "agent {u} out of range");
+        self.states[u * L..(u + 1) * L].fill(W::narrow(word));
+    }
+
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.states.iter().step_by(L).map(|w| w.widen())
+    }
+
+    fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
+        self.states = lane_major::<W, L>(words);
+        if let Some(topology) = resized {
+            self.topology = topology;
         }
+    }
+
+    /// `O(L)`: appends one row instead of rebuilding the array.
+    fn push_word(&mut self, word: u32) {
+        let n = self.len() + 1;
+        check_agents(Self::TAG, n);
+        self.topology = resize_topology(&self.topology, n);
+        self.states.extend([W::narrow(word); L]);
+    }
+
+    /// `O(L)`: moves the last row into `u`'s slot.
+    fn swap_remove_word(&mut self, u: usize) {
+        let n = self.len();
+        assert!(u < n, "agent {u} out of range");
+        assert!(n > 2, "removal would leave fewer than 2 agents");
+        self.topology = resize_topology(&self.topology, n - 1);
+        self.states.copy_within((n - 1) * L.., u * L);
+        self.states.truncate((n - 1) * L);
+    }
+
+    /// All lanes, lane-major: the Engine surface observes lane 0 but the
+    /// ensemble's state is every replica.
+    fn snapshot_words(&self) -> Vec<u32> {
+        self.states.iter().map(|w| w.widen()).collect()
+    }
+
+    fn save_aux(&mut self) -> Vec<u64> {
+        std::iter::once(L as u64)
+            .chain(self.lane_seeds.iter().copied())
+            .collect()
+    }
+
+    fn parse_aux(snapshot: &EngineSnapshot) -> Result<[u64; L], SnapshotError> {
+        match snapshot.aux.split_first() {
+            Some((&lanes, seeds)) if lanes == L as u64 && seeds.len() == L => {
+                Ok(seeds.try_into().expect("length checked"))
+            }
+            _ => Err(SnapshotError::BadPayload(format!(
+                "vec tier aux must be [L, lane_seeds…] with L = {L}, got {:?}",
+                snapshot.aux.first()
+            ))),
+        }
+    }
+
+    fn restore(&mut self, snapshot: &EngineSnapshot, lane_seeds: [u64; L]) {
+        self.states = snapshot.states.iter().map(|&p| W::narrow(p)).collect();
+        self.step = snapshot.clock;
+        self.master_seed = snapshot.seed;
+        self.lane_seeds = lane_seeds;
+        self.sched_base = walk_base(snapshot.seed);
+        self.lane_bases = lane_seeds.map(walk_base);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TurboSimulator;
+    use crate::{Engine, TurboSimulator};
     use pp_graph::{Complete, Cycle, Torus2d};
     use rand::Rng;
 
@@ -718,13 +694,13 @@ mod tests {
             assert_eq!(sim.lane_states_packed(l), vec![5, 6, 9], "lane {l}");
         }
         assert_eq!(sim.lane_population(0).states(), &[5, 6, 9]);
-        sim.push_packed_agent(4);
+        sim.push_agent(&4);
         assert_eq!(sim.len(), 4);
         assert_eq!(sim.topology().len(), 4);
         assert_eq!(sim.lane_states_unpacked(1), vec![5, 6, 9, 4]);
-        sim.swap_remove_packed_agent(0);
+        sim.swap_remove_agent(0);
         assert_eq!(sim.lane_states_packed(2), vec![4, 6, 9]);
-        sim.replace_packed_states(vec![1, 2]);
+        sim.set_states(&[1, 2]);
         assert_eq!(sim.len(), 2);
         assert_eq!(sim.topology().len(), 2);
         assert_eq!(sim.lane_states_packed(0), vec![1, 2]);

@@ -34,7 +34,7 @@
 //! the result-JSON envelope convention.
 
 use crate::sched::Drr;
-use crate::snapshot::SnapshotFile;
+use crate::snapshot::{write_atomic, SnapshotFile};
 use crate::wire::{Event, JobSpec, Request, ShockSpec, TopologySpec};
 use pp_adversary::Shock;
 use pp_bench::experiments::Report;
@@ -46,6 +46,7 @@ use pp_graph::{Cycle, Torus2d};
 use pp_stats::Table;
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{BufRead, Write};
+use std::path::Path;
 use std::sync::mpsc::{self, TryRecvError};
 use std::time::Instant;
 
@@ -600,7 +601,7 @@ fn take_snapshot(
         shock_applied: job.shock_applied,
         engine: snap,
     };
-    if let Err(e) = std::fs::write(&req.path, file.render()) {
+    if let Err(e) = write_atomic(Path::new(&req.path), file.render().as_bytes()) {
         return Err(fail(
             out,
             format!("cannot write snapshot `{}`: {e}", req.path),

@@ -33,6 +33,8 @@ use crate::wire::{check_ident, JobSpec, MAX_EXACT_INT};
 use pp_bench::schema::{parse, Value};
 use pp_engine::EngineSnapshot;
 use pp_obs::json::quote;
+use std::io::Write;
+use std::path::Path;
 
 /// The format tag every snapshot file carries.
 pub const FORMAT: &str = "pp-snapshot-v1";
@@ -294,6 +296,33 @@ impl SnapshotFile {
     }
 }
 
+/// Writes `contents` to `path` so that a crash or write error mid-file
+/// never destroys the file already there: the bytes go to `<path>.tmp`
+/// in the same directory, are synced to disk, and only then renamed over
+/// `path`; the directory is synced last so the rename itself is durable.
+/// On an error before the rename the temporary file is removed and
+/// `path` is left as it was.
+pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = Path::new(&tmp);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let result = std::fs::File::create(tmp)
+        .and_then(|mut file| {
+            file.write_all(contents)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(tmp, path))
+        .and_then(|()| std::fs::File::open(dir)?.sync_all());
+    if result.is_err() {
+        let _ = std::fs::remove_file(tmp);
+    }
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,5 +406,48 @@ mod tests {
         let back = SnapshotFile::parse(&s.render()).unwrap();
         assert_eq!(back.engine.seed, (1 << 53) + 1);
         assert_eq!(back.engine.aux, s.engine.aux);
+    }
+
+    /// A fresh empty directory for one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("pp_serve_atomic_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_whole_and_leaves_no_temp() {
+        let dir = scratch_dir("replace");
+        let path = dir.join("job.ppsnap");
+        std::fs::write(&path, "an older, longer snapshot body").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
+        assert!(
+            !dir.join("job.ppsnap.tmp").exists(),
+            "temp file left behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_atomic_failed_rename_keeps_the_target_and_cleans_up() {
+        // A non-empty directory cannot be replaced by a file: the rename
+        // fails after the temp file was fully written and synced.
+        let dir = scratch_dir("rename_fails");
+        let path = dir.join("job.ppsnap");
+        std::fs::create_dir(&path).unwrap();
+        std::fs::write(path.join("keep"), "untouched").unwrap();
+        assert!(write_atomic(&path, b"new").is_err());
+        assert!(
+            !dir.join("job.ppsnap.tmp").exists(),
+            "temp file left behind"
+        );
+        assert_eq!(
+            std::fs::read_to_string(path.join("keep")).unwrap(),
+            "untouched"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

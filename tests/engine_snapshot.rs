@@ -217,6 +217,32 @@ fn tampered_snapshots_are_rejected_not_resumed() {
             "{name}: population mismatch accepted"
         );
 
+        // A states array one word short (the dense tier carries none).
+        if name != "dense" {
+            let mut wrong = snap.clone();
+            wrong.states.pop();
+            assert!(
+                matches!(
+                    target.restore_snapshot(&wrong),
+                    Err(SnapshotError::BadPayload(_))
+                ),
+                "{name}: short states array accepted"
+            );
+        }
+
+        // A state word past the storage width of the u8-storage tiers.
+        if matches!(name, "turbo" | "vec") {
+            let mut wrong = snap.clone();
+            wrong.states[0] = 256;
+            assert!(
+                matches!(
+                    target.restore_snapshot(&wrong),
+                    Err(SnapshotError::BadPayload(_))
+                ),
+                "{name}: state word overflowing u8 storage accepted"
+            );
+        }
+
         // Every rejection left the engine untouched.
         assert_eq!(
             fingerprint(&target),
