@@ -13,7 +13,7 @@ use pp_core::{
 };
 use pp_dense::DenseEngine;
 use pp_engine::{
-    Engine, PackedSimulator, ShardedSimulator, Simulator, TurboSimulator, TurboWord, VecSimulator,
+    Engine, PackedSimulator, ShardedSimulator, Simulator, TurboSimulator, VecSimulator,
 };
 use pp_graph::{Complete, Topology};
 
@@ -189,7 +189,7 @@ pub fn build_graph_engine<T>(
 where
     T: Topology + Clone + Send + Sync + 'static,
 {
-    let k = weights.len();
+    let narrow = pp_core::packed::fits_u8(weights.len());
     let protocol = Diversification::new(weights.clone());
     match kind {
         EngineKind::Agent => Box::new(Simulator::new(protocol, topology, states, seed)),
@@ -202,44 +202,28 @@ where
             );
         }
         EngineKind::Packed => Box::new(PackedSimulator::new(protocol, topology, &states, seed)),
-        EngineKind::Turbo | EngineKind::Sharded | EngineKind::Vec => {
-            if pp_core::packed::fits_u8(k) {
-                build_word_tier::<u8, T>(kind, protocol, topology, &states, seed)
-            } else {
-                build_word_tier::<u32, T>(kind, protocol, topology, &states, seed)
-            }
-        }
-    }
-}
-
-/// The tiers with a narrow storage word, built at word type `W`: `u8`
-/// when every packed state fits a byte, `u32` otherwise.
-fn build_word_tier<W, T>(
-    kind: EngineKind,
-    protocol: Diversification,
-    topology: T,
-    states: &[AgentState],
-    seed: u64,
-) -> DivEngine
-where
-    W: TurboWord,
-    T: Topology + Clone + Send + Sync + 'static,
-{
-    match kind {
-        EngineKind::Turbo => Box::new(TurboSimulator::<_, _, W>::new(
-            protocol, topology, states, seed,
+        // The narrow-word tiers store `u8` when every packed state fits
+        // a byte, `u32` otherwise.
+        EngineKind::Turbo if narrow => Box::new(TurboSimulator::<_, _, u8>::new(
+            protocol, topology, &states, seed,
         )),
-        EngineKind::Sharded => Box::new(ShardedSimulator::<_, _, W>::new(
-            protocol, topology, states, seed,
+        EngineKind::Turbo => Box::new(TurboSimulator::<_, _, u32>::new(
+            protocol, topology, &states, seed,
+        )),
+        EngineKind::Sharded if narrow => Box::new(ShardedSimulator::<_, _, u8>::new(
+            protocol, topology, &states, seed,
+        )),
+        EngineKind::Sharded => Box::new(ShardedSimulator::<_, _, u32>::new(
+            protocol, topology, &states, seed,
         )),
         // One lane, lane seed == master seed: bit-exact vs the turbo
         // tier, so single-trajectory workloads pay no lane overhead.
-        EngineKind::Vec => Box::new(VecSimulator::<_, _, W, 1>::from_seed(
-            protocol, topology, states, seed,
+        EngineKind::Vec if narrow => Box::new(VecSimulator::<_, _, u8, 1>::from_seed(
+            protocol, topology, &states, seed,
         )),
-        EngineKind::Agent | EngineKind::Packed | EngineKind::Dense => {
-            unreachable!("the {kind:?} tier has no storage word")
-        }
+        EngineKind::Vec => Box::new(VecSimulator::<_, _, u32, 1>::from_seed(
+            protocol, topology, &states, seed,
+        )),
     }
 }
 

@@ -772,7 +772,6 @@ where
     /// `O(n)`: re-scatters the shards, and on a length change rebuilds
     /// the partition and block length too.
     fn replace_words(&mut self, words: Vec<u32>, resized: Option<T>) {
-        let same_len = resized.is_none();
         if let Some(topology) = resized {
             let n = words.len();
             self.partition = Partition::new(n, auto_shards(n), topology.preferred_partition());
@@ -780,8 +779,9 @@ where
             self.topology = topology;
         }
         // Mid-block in `Snapshot` mode the bulk rewrite replaces the live
-        // block snapshot wholesale (same visibility rule as `set_word`).
-        let snap = (self.block_snap.is_some() && same_len).then(|| Arc::new(words.clone()));
+        // block snapshot wholesale (same visibility rule as `set_word`),
+        // also on a resize: the rest of the block still reads from it.
+        let snap = self.block_snap.is_some().then(|| Arc::new(words.clone()));
         self.scatter(words);
         self.block_snap = snap;
     }
@@ -1543,6 +1543,36 @@ mod tests {
         b.set_state(5, &1000);
         a.run(16 + 3_200);
         b.run(16 + 3_200);
+        assert_eq!(a.states_packed(), b.states_packed());
+    }
+
+    #[test]
+    fn resize_mid_block_keeps_the_snapshot_read_path_running() {
+        // A population resize while a snapshot-mode run is paused
+        // mid-block rebuilds the partition at the default shard count
+        // (several shards at this size on a multi-core machine); the
+        // rest of the block must keep reading from a live block snapshot
+        // and split runs that resize at the same step must agree.
+        let n = 8192;
+        let init: Vec<u32> = (0..n as u32).collect();
+        let build = || ShardedSimulator::<_, _, u32>::new(Copy1, Complete::new(n), &init, 21);
+        let (mut a, mut b) = (build(), build());
+        assert_eq!(a.read_mode(), ReadMode::Snapshot);
+        a.run(100);
+        b.run(37);
+        b.run(63);
+        assert_ne!(a.step_count() % a.block(), 0, "paused mid-block");
+        Engine::push_agent(&mut a, &7);
+        Engine::push_agent(&mut b, &7);
+        Engine::swap_remove_agent(&mut a, 3);
+        Engine::swap_remove_agent(&mut b, 3);
+        Engine::push_agent(&mut a, &9);
+        Engine::push_agent(&mut b, &9);
+        assert_ne!(a.step_count() % a.block(), 0, "still mid-block");
+        a.run(3_000);
+        b.run(1_000);
+        b.run(2_000);
+        assert_eq!(a.len(), n + 1);
         assert_eq!(a.states_packed(), b.states_packed());
     }
 

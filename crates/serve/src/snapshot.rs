@@ -35,6 +35,7 @@ use pp_engine::EngineSnapshot;
 use pp_obs::json::quote;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The format tag every snapshot file carries.
 pub const FORMAT: &str = "pp-snapshot-v1";
@@ -297,28 +298,51 @@ impl SnapshotFile {
 }
 
 /// Writes `contents` to `path` so that a crash or write error mid-file
-/// never destroys the file already there: the bytes go to `<path>.tmp`
-/// in the same directory, are synced to disk, and only then renamed over
-/// `path`; the directory is synced last so the rename itself is durable.
-/// On an error before the rename the temporary file is removed and
-/// `path` is left as it was.
+/// never destroys the file already there: the bytes go to a fresh hidden
+/// temporary file `.<name>.<pid>.<counter>.tmp` in the same directory,
+/// are synced to disk, and only then renamed over `path`; the directory
+/// is synced last so the rename itself is durable. The temporary file is
+/// created exclusively, so no other file — another tenant's snapshot
+/// included — is ever truncated, moved or removed. On an error before
+/// the rename the temporary file is removed and `path` is left as it was.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),
     };
-    let result = std::fs::File::create(tmp)
-        .and_then(|mut file| {
-            file.write_all(contents)?;
-            file.sync_all()
-        })
-        .and_then(|()| std::fs::rename(tmp, path))
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("snapshot path `{}` names no file", path.display()),
+        )
+    })?;
+    let (tmp, mut file) = loop {
+        let mut tmp_name = std::ffi::OsString::from(".");
+        tmp_name.push(name);
+        tmp_name.push(format!(
+            ".{}.{}.tmp",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = dir.join(tmp_name);
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+        {
+            Ok(file) => break (tmp, file),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    let result = file
+        .write_all(contents)
+        .and_then(|()| file.sync_all())
+        .and_then(|()| std::fs::rename(&tmp, path))
         .and_then(|()| std::fs::File::open(dir)?.sync_all());
     if result.is_err() {
-        let _ = std::fs::remove_file(tmp);
+        let _ = std::fs::remove_file(&tmp);
     }
     result
 }
@@ -417,16 +441,36 @@ mod tests {
         dir
     }
 
+    /// The sorted entry names of `dir`.
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Another tenant's snapshot whose name looks like a temporary file
+    /// of `job.ppsnap`; no write to `job.ppsnap` may touch it.
+    const OTHER: &str = "job.ppsnap.tmp";
+
     #[test]
     fn write_atomic_replaces_the_file_whole_and_leaves_no_temp() {
         let dir = scratch_dir("replace");
         let path = dir.join("job.ppsnap");
         std::fs::write(&path, "an older, longer snapshot body").unwrap();
+        std::fs::write(dir.join(OTHER), "another snapshot").unwrap();
         write_atomic(&path, b"new").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "new");
-        assert!(
-            !dir.join("job.ppsnap.tmp").exists(),
+        assert_eq!(
+            entries(&dir),
+            ["job.ppsnap", OTHER],
             "temp file left behind"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join(OTHER)).unwrap(),
+            "another snapshot"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -439,10 +483,16 @@ mod tests {
         let path = dir.join("job.ppsnap");
         std::fs::create_dir(&path).unwrap();
         std::fs::write(path.join("keep"), "untouched").unwrap();
+        std::fs::write(dir.join(OTHER), "another snapshot").unwrap();
         assert!(write_atomic(&path, b"new").is_err());
-        assert!(
-            !dir.join("job.ppsnap.tmp").exists(),
+        assert_eq!(
+            entries(&dir),
+            ["job.ppsnap", OTHER],
             "temp file left behind"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join(OTHER)).unwrap(),
+            "another snapshot"
         );
         assert_eq!(
             std::fs::read_to_string(path.join("keep")).unwrap(),
